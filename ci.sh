@@ -12,13 +12,14 @@
 #                         so new findings fail even when hidden behind
 #                         waivers; the lint run itself must finish in <10s)
 #   4. tier-1 tests      (root-package build + tests, the ROADMAP gate)
-#   5. workspace tests   (all crates)
+#   5. workspace tests   (all crates, plus the exhaustive 2^32 f32 sweep of
+#                         the FP16/BF16 wire conversions in release)
 #   6. sanitizer tests   (numeric sanitizer + lock-order runtime validator
 #                         armed via --features sanitize)
 #   7. telemetry check   (quickstart --telemetry artifacts parse, carry the
 #                         span taxonomy, and label process/rank threads)
 #   8. bench gate        (pinned benchmark suite vs the committed baseline;
-#                         fails on >10% throughput regression or >2% live-
+#                         fails on >10% throughput regression or >3% live-
 #                         monitor / workload-profiler overhead; also runs
 #                         the kernel micro-suite to results/BENCH_micro.json
 #                         and prints the baseline-vs-current perf diff with
@@ -65,6 +66,9 @@ cargo test -q
 
 echo "==> [5/11] cargo test -q --workspace"
 cargo test -q --workspace
+# every f32 bit pattern through the branch-free FP16/BF16 conversions,
+# bit-compared against the reference scalar code (about 20-35 s)
+cargo test -q --release -p neo-tensor --lib -- --ignored
 
 echo "==> [6/11] sanitize: numeric + lock-order validators armed"
 cargo test -q -p neo-tensor -p neo-embeddings -p neo-sync -p neo-collectives \

@@ -28,6 +28,19 @@ pub enum CollectiveError {
         /// The collective being executed.
         op: &'static str,
     },
+    /// Ranks called different collectives at the same rendezvous. Every
+    /// rank still walks the whole rendezvous, so the group stays in step
+    /// and the next matched collective succeeds.
+    OpMismatch {
+        /// The collective this rank called.
+        op: &'static str,
+        /// This rank.
+        rank: usize,
+        /// The collective a peer called instead.
+        other_op: &'static str,
+        /// The lowest-numbered rank whose op differs from `op`.
+        other_rank: usize,
+    },
     /// A quantized collective was asked for an impossible wire conversion.
     Quant(QuantError),
     /// A nonblocking collective's comm lane shut down before delivering
@@ -58,6 +71,16 @@ impl std::fmt::Display for CollectiveError {
             CollectiveError::PayloadTypeMismatch { op } => {
                 write!(f, "payload type mismatch in collective {op}")
             }
+            CollectiveError::OpMismatch {
+                op,
+                rank,
+                other_op,
+                other_rank,
+            } => write!(
+                f,
+                "collective mismatch: rank {rank} called {op} while rank {other_rank} \
+                 called {other_op}"
+            ),
             CollectiveError::Quant(e) => write!(f, "quantized collective: {e}"),
             CollectiveError::LaneClosed { op } => {
                 write!(f, "comm lane closed before {op} completed")
@@ -94,27 +117,38 @@ pub struct CommStats {
     pub ops: u64,
 }
 
+/// One rank's contribution to a rendezvous. Readers copy the `Arc` out
+/// of the slot, so the owner's clear drops the payload only once every
+/// reader is done with it.
+#[derive(Clone)]
 struct Deposit {
     op: &'static str,
-    payload: Box<dyn Any + Send>,
+    payload: Arc<dyn Any + Send + Sync>,
 }
 
 pub(crate) struct Shared {
     world: usize,
     barrier: OrderedBarrier,
-    slots: OrderedMutex<Vec<Option<Deposit>>>,
+    /// One slot per rank. Only the owning rank writes its slot (deposit
+    /// before the first barrier, clear after the second); every rank
+    /// reads every slot between the two barriers.
+    slots: Vec<OrderedMutex<Option<Deposit>>>,
 }
 
 impl Shared {
     /// `slots_name`/`barrier_name` are this instance's nodes in the
     /// workspace lock hierarchy (DESIGN.md): the main and lane copies
     /// get distinct names so the sanitize-mode order graph can tell a
-    /// legal main-vs-lane interleaving from a true inversion.
+    /// legal main-vs-lane interleaving from a true inversion. All of
+    /// one instance's slots share `slots_name`, so holding two at once
+    /// would be flagged as a self-cycle; `exchange` never does.
     fn new(world: usize, slots_name: &'static str, barrier_name: &'static str) -> Arc<Self> {
         Arc::new(Shared {
             world,
             barrier: OrderedBarrier::new(barrier_name, world),
-            slots: OrderedMutex::new(slots_name, (0..world).map(|_| None).collect()),
+            slots: (0..world)
+                .map(|_| OrderedMutex::new(slots_name, None))
+                .collect(),
         })
     }
 }
@@ -156,8 +190,9 @@ impl ProcessGroup {
 /// One rank's handle into the collective group.
 ///
 /// Every collective is a synchronous rendezvous: *all* ranks must call the
-/// same operation (enforced at runtime — a mismatch panics with the two
-/// operation names). Calls block until every rank has arrived.
+/// same operation (enforced at runtime — a mismatch returns
+/// [`CollectiveError::OpMismatch`] on every rank). Calls block until
+/// every rank has arrived.
 pub struct Communicator {
     pub(crate) rank: usize,
     shared: Arc<Shared>,
@@ -266,7 +301,7 @@ impl Communicator {
     ///
     /// # Panics
     ///
-    /// Panics if ranks disagree on the operation or buffer length.
+    /// Panics if ranks disagree on the buffer length.
     pub fn all_reduce(&mut self, buf: &mut [f32]) -> Result<(), CollectiveError> {
         self.note_bytes("all_reduce", (buf.len() * 4) as u64);
         let deposits = self.exchange("all_reduce", buf.to_vec(), |slots| {
@@ -411,8 +446,8 @@ impl Communicator {
     ///
     /// # Panics
     ///
-    /// Panics if `sends.len() != world` or ranks disagree on the operation.
-    pub fn all_to_all_v<T: Clone + Send + 'static>(
+    /// Panics if `sends.len() != world`.
+    pub fn all_to_all_v<T: Clone + Send + Sync + 'static>(
         &mut self,
         sends: Vec<Vec<T>>,
     ) -> Result<Vec<Vec<T>>, CollectiveError> {
@@ -488,7 +523,7 @@ impl Communicator {
     ///
     /// # Panics
     ///
-    /// Panics if `sends.len() != world` or ranks disagree on the operation.
+    /// Panics if `sends.len() != world`.
     pub fn all_to_all_shared<T: Send + Sync + 'static>(
         &mut self,
         sends: Vec<Arc<Vec<T>>>,
@@ -571,7 +606,7 @@ impl Communicator {
     ///
     /// # Panics
     ///
-    /// Panics if ranks disagree on the operation or buffer length.
+    /// Panics if ranks disagree on the buffer length.
     pub fn all_reduce_shared(
         &mut self,
         input: Arc<Vec<f32>>,
@@ -608,56 +643,44 @@ impl Communicator {
         Ok(acc_arc)
     }
 
-    /// Core rendezvous: deposit a payload, wait for everyone, compute this
-    /// rank's result from all deposits, wait again, and let the leader
-    /// clear the slots. A failed read still walks every barrier so the
-    /// other ranks are never left deadlocked by this rank's early error.
-    fn exchange<P: Send + 'static, R>(
+    /// Core rendezvous, two barriers around per-rank slots:
+    ///
+    /// 1. deposit into this rank's own slot;
+    /// 2. barrier — every slot is now filled;
+    /// 3. copy every deposit's `Arc` out (one slot lock at a time), check
+    ///    all ranks called `op`, and compute this rank's result;
+    /// 4. barrier — every rank is done reading, so
+    /// 5. this rank clears its own slot, dropping its payload before the
+    ///    collective returns.
+    ///
+    /// A slot is written only by its owner, and a rank's next deposit
+    /// comes after the second barrier, when no peer reads slots any more,
+    /// so two barriers suffice. A failed check still walks both barriers,
+    /// so the other ranks are never left deadlocked by this rank's error.
+    fn exchange<P: Send + Sync + 'static, R>(
         &mut self,
         op: &'static str,
         payload: P,
-        read: impl FnOnce(&[Option<Deposit>]) -> Result<R, CollectiveError>,
+        read: impl FnOnce(&[Deposit]) -> Result<R, CollectiveError>,
     ) -> Result<R, CollectiveError> {
         self.stats.ops += 1;
         // None when disabled: the hot path makes no clock syscall.
         let t0 = self.telemetry.now_ns();
+        let own = &self.shared.slots[self.rank];
         {
-            let mut slots = self.shared.slots.lock();
-            debug_assert!(
-                slots[self.rank].is_none(),
-                "rank {} double deposit",
-                self.rank
-            );
-            slots[self.rank] = Some(Deposit {
+            let mut slot = own.lock();
+            debug_assert!(slot.is_none(), "rank {} double deposit", self.rank);
+            *slot = Some(Deposit {
                 op,
-                payload: Box::new(payload),
+                payload: Arc::new(payload),
             });
         }
         self.shared.barrier.wait(); // lint: allow(comm_lane_blocking) — rendezvous barrier is the collective itself; the lane exists to overlap it with compute, not to remove it
-        let result = {
-            let slots = self.shared.slots.lock();
-            let mut verified = Ok(());
-            for (r, slot) in slots.iter().enumerate() {
-                let Some(d) = slot.as_ref() else {
-                    verified = Err(CollectiveError::MissingDeposit { op });
-                    break;
-                };
-                assert_eq!(
-                    d.op, op,
-                    "collective mismatch: rank {} called {} while rank {r} called {}",
-                    self.rank, op, d.op
-                );
-            }
-            verified.and_then(|()| read(&slots))
-        };
-        let leader = self.shared.barrier.wait(); // lint: allow(comm_lane_blocking) — second rendezvous: every rank must deposit before any rank reads
-        if leader.is_leader() {
-            let mut slots = self.shared.slots.lock();
-            for slot in slots.iter_mut() {
-                *slot = None;
-            }
-        }
-        self.shared.barrier.wait(); // lint: allow(comm_lane_blocking) — final rendezvous: slots must be cleared before the next collective reuses them
+        let result = self
+            .collect_deposits(op)
+            .and_then(|deposits| read(&deposits));
+        self.shared.barrier.wait(); // lint: allow(comm_lane_blocking) — second rendezvous: no rank may clear its slot while a peer still reads it
+        *own.lock() = None;
         if let (Some(t0), Some(t1)) = (t0, self.telemetry.now_ns()) {
             self.telemetry.counter_add(&metric::comm_calls(op), 1);
             self.telemetry
@@ -665,15 +688,34 @@ impl Communicator {
         }
         result
     }
+
+    /// Copies every rank's deposit out of its slot in rank order, holding
+    /// one slot lock at a time, and checks every rank called `op`.
+    fn collect_deposits(&self, op: &'static str) -> Result<Vec<Deposit>, CollectiveError> {
+        let mut deposits = Vec::with_capacity(self.shared.world);
+        for (other_rank, slot) in self.shared.slots.iter().enumerate() {
+            let deposit = slot.lock().clone();
+            let Some(d) = deposit else {
+                return Err(CollectiveError::MissingDeposit { op });
+            };
+            if d.op != op {
+                return Err(CollectiveError::OpMismatch {
+                    op,
+                    rank: self.rank,
+                    other_op: d.op,
+                    other_rank,
+                });
+            }
+            deposits.push(d);
+        }
+        Ok(deposits)
+    }
 }
 
 fn payload_ref<'a, T: 'static>(
-    slot: &'a Option<Deposit>,
+    deposit: &'a Deposit,
     op: &'static str,
 ) -> Result<&'a T, CollectiveError> {
-    let deposit = slot
-        .as_ref()
-        .ok_or(CollectiveError::MissingDeposit { op })?;
     deposit
         .payload
         .downcast_ref::<T>()
@@ -891,6 +933,63 @@ mod tests {
             (v[0], ag)
         });
         assert_eq!(out[0], (5.0, vec![7.0]));
+    }
+
+    #[test]
+    fn op_mismatch_is_a_typed_error_on_every_rank_and_the_group_recovers() {
+        let out = run(2, |rank, c| {
+            let mismatched = if rank == 0 {
+                c.all_reduce(&mut [1.0]).map(|()| Vec::new())
+            } else {
+                c.all_gather(&[1.0])
+            };
+            let mut v = vec![rank as f32 + 1.0];
+            c.all_reduce(&mut v).unwrap();
+            (mismatched, v)
+        });
+        assert_eq!(
+            out[0].0,
+            Err(CollectiveError::OpMismatch {
+                op: "all_reduce",
+                rank: 0,
+                other_op: "all_gather",
+                other_rank: 1,
+            })
+        );
+        assert_eq!(
+            out[1].0,
+            Err(CollectiveError::OpMismatch {
+                op: "all_gather",
+                rank: 1,
+                other_op: "all_reduce",
+                other_rank: 0,
+            })
+        );
+        let msg = out[0].0.clone().unwrap_err().to_string();
+        assert!(
+            msg.contains("rank 0 called all_reduce while rank 1 called all_gather"),
+            "{msg}"
+        );
+        for (_, v) in out {
+            assert_eq!(v, vec![3.0], "the next matched collective succeeds");
+        }
+    }
+
+    #[cfg(feature = "sanitize")]
+    #[test]
+    fn per_rank_slots_keep_the_lock_order_validator_silent() {
+        run(3, |rank, c| {
+            let mut v = vec![rank as f32];
+            c.all_reduce(&mut v).unwrap();
+            let posted = c.post_all_reduce_shared(Arc::new(v), "allreduce", 0);
+            c.all_gather(&[1.0]).unwrap();
+            posted.wait().unwrap();
+        });
+        let ours: Vec<_> = neo_sync::take_violations()
+            .into_iter()
+            .filter(|v| v.acquiring.starts_with("collectives."))
+            .collect();
+        assert!(ours.is_empty(), "{ours:?}");
     }
 
     #[test]

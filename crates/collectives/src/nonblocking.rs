@@ -244,7 +244,7 @@ impl Communicator {
     /// A contract violation (e.g. `sends.len() != world`) panics the
     /// exchange *on the lane thread*; the panic is captured and surfaces
     /// as [`CollectiveError::LaneFailed`] at [`CommHandle::wait`].
-    pub fn post_all_to_all_v<T: Clone + Send + 'static>(
+    pub fn post_all_to_all_v<T: Clone + Send + Sync + 'static>(
         &mut self,
         sends: Vec<Vec<T>>,
         span_name: &'static str,

@@ -4,7 +4,7 @@
 //! backward AlltoAll in BF16: FP16 has more mantissa (better for
 //! activations), BF16 has FP32's exponent range (safer for gradients).
 
-use neo_tensor::{Bf16, F16};
+use neo_tensor::half;
 
 /// Error from asking a [`QuantMode`] for a wire conversion it cannot do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,11 +55,14 @@ impl QuantMode {
     /// Returns [`QuantError::NotQuantized`] on [`QuantMode::Fp32`] (which
     /// has no 16-bit wire format — callers short-circuit that case).
     pub fn quantize(&self, src: &[f32]) -> Result<Vec<u16>, QuantError> {
-        match self {
-            QuantMode::Fp32 => Err(QuantError::NotQuantized),
-            QuantMode::Fp16 => Ok(src.iter().map(|&v| F16::from_f32(v).to_bits()).collect()), // lint: allow(hot_path_alloc) — wire-format buffer the quantize API returns; one allocation per exchanged tensor
-            QuantMode::Bf16 => Ok(src.iter().map(|&v| Bf16::from_f32(v).to_bits()).collect()), // lint: allow(hot_path_alloc) — wire-format buffer the quantize API returns; one allocation per exchanged tensor
-        }
+        let kernel = match self {
+            QuantMode::Fp32 => return Err(QuantError::NotQuantized),
+            QuantMode::Fp16 => half::quantize_f16,
+            QuantMode::Bf16 => half::quantize_bf16,
+        };
+        let mut wire = Vec::new(); // lint: allow(hot_path_alloc) — wire-format buffer the quantize API returns; one allocation per exchanged tensor
+        kernel(src, &mut wire);
+        Ok(wire)
     }
 
     /// Dequantizes from the 16-bit wire format.
@@ -68,11 +71,14 @@ impl QuantMode {
     ///
     /// Returns [`QuantError::NotQuantized`] on [`QuantMode::Fp32`].
     pub fn dequantize(&self, src: &[u16]) -> Result<Vec<f32>, QuantError> {
-        match self {
-            QuantMode::Fp32 => Err(QuantError::NotQuantized),
-            QuantMode::Fp16 => Ok(src.iter().map(|&b| F16::from_bits(b).to_f32()).collect()), // lint: allow(hot_path_alloc) — decode buffer the dequantize API returns; one allocation per exchanged tensor
-            QuantMode::Bf16 => Ok(src.iter().map(|&b| Bf16::from_bits(b).to_f32()).collect()), // lint: allow(hot_path_alloc) — decode buffer the dequantize API returns; one allocation per exchanged tensor
-        }
+        let kernel = match self {
+            QuantMode::Fp32 => return Err(QuantError::NotQuantized),
+            QuantMode::Fp16 => half::dequantize_f16,
+            QuantMode::Bf16 => half::dequantize_bf16,
+        };
+        let mut out = Vec::new(); // lint: allow(hot_path_alloc) — decode buffer the dequantize API returns; one allocation per exchanged tensor
+        kernel(src, &mut out);
+        Ok(out)
     }
 }
 

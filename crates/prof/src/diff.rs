@@ -50,6 +50,15 @@ pub struct BenchDiff {
     pub only_in_cur: Vec<String>,
 }
 
+/// Whether a phase column may be named as the dominant millisecond
+/// delta. Aggregate spans (`iteration`, `backward`) are sums of leaf
+/// phases, so they always move at least as much as the leaf that caused
+/// the change; percentage columns (`*_overhead_pct`) are not milliseconds
+/// at all.
+fn is_attributable(name: &str) -> bool {
+    !neo_telemetry::phase::AGGREGATE.contains(&name) && !name.ends_with("_pct")
+}
+
 /// Joins two reports entry-by-entry (on `name`) and attributes each
 /// throughput delta to the phase whose per-iteration cost moved the most.
 pub fn diff_reports(base: &BenchReport, cur: &BenchReport) -> BenchDiff {
@@ -78,11 +87,9 @@ pub fn diff_reports(base: &BenchReport, cur: &BenchReport) -> BenchDiff {
                 phases.push((name.clone(), 0.0, *ms));
             }
         }
-        // the whole-iteration span is the *sum* of the leaf phases, so it
-        // always moves the most; skip it so the attribution names a cause
         let dominant_phase = phases
             .iter()
-            .filter(|(name, _, _)| name != neo_telemetry::phase::ITERATION)
+            .filter(|(name, _, _)| is_attributable(name))
             .map(|(name, base_ms, cur_ms)| (name.clone(), cur_ms - base_ms))
             .filter(|(_, d)| *d != 0.0)
             .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()));
@@ -256,6 +263,65 @@ mod tests {
         let text = format!("{d}");
         assert!(text.contains("only in baseline: gone"), "{text}");
         assert!(text.contains("only in ci: added"), "{text}");
+    }
+
+    #[test]
+    fn aggregate_backward_span_is_never_the_dominant_phase() {
+        // `backward` contains the sparse optimizer, so it moves by at
+        // least as much; the attribution must name the leaf
+        let base = report(
+            "baseline",
+            vec![entry(
+                "quickstart_w4",
+                100_000.0,
+                &[
+                    ("backward", 1.0),
+                    ("sparse_optim", 0.3),
+                    ("emb_lookup", 0.2),
+                ],
+            )],
+        );
+        let cur = report(
+            "ci",
+            vec![entry(
+                "quickstart_w4",
+                90_000.0,
+                &[
+                    ("backward", 1.5),
+                    ("sparse_optim", 0.7),
+                    ("emb_lookup", 0.2),
+                ],
+            )],
+        );
+        let d = diff_reports(&base, &cur);
+        let (phase, delta) = d.entries[0].dominant_phase.clone().expect("a leaf moved");
+        assert_eq!(phase, "sparse_optim");
+        assert!((delta - 0.4).abs() < 1e-9, "{delta}");
+    }
+
+    #[test]
+    fn overhead_percentages_stay_out_of_the_millisecond_attribution() {
+        let base = report(
+            "baseline",
+            vec![entry(
+                "quickstart_w4_monitor",
+                100_000.0,
+                &[("monitor_overhead_pct", 0.5), ("alltoall_fwd", 0.40)],
+            )],
+        );
+        let cur = report(
+            "ci",
+            vec![entry(
+                "quickstart_w4_monitor",
+                99_000.0,
+                &[("monitor_overhead_pct", 2.5), ("alltoall_fwd", 0.45)],
+            )],
+        );
+        let d = diff_reports(&base, &cur);
+        let (phase, _) = d.entries[0].dominant_phase.clone().expect("a phase moved");
+        assert_eq!(phase, "alltoall_fwd");
+        let text = format!("{d}");
+        assert!(!text.contains("monitor_overhead_pct +"), "{text}");
     }
 
     #[test]

@@ -157,8 +157,14 @@ pub fn yield_point(site: u32) {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that arm or read the process-wide `ARMED`
+    /// flag; run in parallel, one test's `arm` races the other's
+    /// disarmed-state assertion.
+    static ARMED_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn disarmed_is_noop_and_armed_is_deterministic() {
+        let _serial = crate::recover(ARMED_FLAG.lock());
         assert!(!is_armed());
         yield_point(site::POST); // must not panic or stall
 
@@ -211,6 +217,7 @@ mod tests {
 
     #[test]
     fn arm_disarm_round_trip() {
+        let _serial = crate::recover(ARMED_FLAG.lock());
         arm(42);
         assert!(is_armed());
         for s in [site::POST, site::LANE_ENTER, site::LANE_EXIT, site::WAIT] {

@@ -106,19 +106,7 @@ impl Bf16 {
     /// Converts from `f32` with round-to-nearest-even on the truncated bits.
     #[must_use]
     pub fn from_f32(value: f32) -> Self {
-        let bits = value.to_bits();
-        // round-to-nearest-even on bit 16
-        let round_bit = (bits >> 15) & 1;
-        let sticky = bits & 0x7fff;
-        let mut hi = (bits >> 16) as u16;
-        if round_bit == 1 && (sticky != 0x0000 || hi & 1 == 1) && !value.is_nan() {
-            hi = hi.wrapping_add(1);
-        }
-        if value.is_nan() {
-            // preserve NaN; force a quiet-NaN payload bit
-            hi = ((bits >> 16) as u16) | 0x0040;
-        }
-        Self(hi)
+        Self(bf16_bits(value))
     }
 
     /// Converts back to `f32` (exact).
@@ -176,6 +164,12 @@ impl fmt::Display for Bf16 {
     }
 }
 
+// The slice kernels are plain `extend(map)` loops: with branch-free
+// conversions inlined, the body is straight-line integer and float
+// selects, which the autovectorizer turns into SIMD on its own. Explicit
+// `[_; LANE]` chunking measured slower here (the lane array is one more
+// copy on the way into `dst`).
+
 /// Quantizes a slice of `f32` to FP16 bits (round-to-nearest-even).
 pub fn quantize_f16(src: &[f32], dst: &mut Vec<u16>) {
     dst.clear();
@@ -191,7 +185,7 @@ pub fn dequantize_f16(src: &[u16], dst: &mut Vec<f32>) {
 /// Quantizes a slice of `f32` to BF16 bits.
 pub fn quantize_bf16(src: &[f32], dst: &mut Vec<u16>) {
     dst.clear();
-    dst.extend(src.iter().map(|&v| Bf16::from_f32(v).to_bits()));
+    dst.extend(src.iter().map(|&v| bf16_bits(v)));
 }
 
 /// Dequantizes BF16 bits back to `f32`.
@@ -200,70 +194,79 @@ pub fn dequantize_bf16(src: &[u16], dst: &mut Vec<f32>) {
     dst.extend(src.iter().map(|&b| Bf16::from_bits(b).to_f32()));
 }
 
-fn f16_bits_to_f32(bits: u16) -> f32 {
-    let sign = ((bits >> 15) as u32) << 31;
-    let exp = ((bits >> 10) & 0x1f) as u32;
-    let mant = (bits & 0x3ff) as u32;
-    let out = if exp == 0 {
-        if mant == 0 {
-            sign
-        } else {
-            // subnormal: normalize
-            let mut e = 127 - 15 + 1;
-            let mut m = mant;
-            while m & 0x400 == 0 {
-                m <<= 1;
-                e -= 1;
-            }
-            sign | ((e as u32) << 23) | ((m & 0x3ff) << 13)
-        }
-    } else if exp == 0x1f {
-        sign | 0x7f80_0000 | (mant << 13)
-    } else {
-        sign | ((exp + 127 - 15) << 23) | (mant << 13)
-    };
-    f32::from_bits(out)
+/// f32 bits of 2^-14, the smallest normal f16.
+const F16_MIN_NORMAL: u32 = 113 << 23;
+
+/// f32 -> bf16 bits, round-to-nearest-even; NaN keeps its sign and high
+/// payload and is forced quiet.
+#[inline(always)]
+fn bf16_bits(value: f32) -> u16 {
+    let bits = value.to_bits();
+    // adding 0x7fff plus the kept LSB carries into bit 16 exactly when
+    // the dropped half is above the tie, or at the tie with an odd LSB
+    let rounded = bits.wrapping_add(0x7fff + ((bits >> 16) & 1)) >> 16;
+    let quiet_nan = (bits >> 16) | 0x0040;
+    let is_nan = (bits & 0x7fff_ffff) > 0x7f80_0000;
+    (if is_nan { quiet_nan } else { rounded }) as u16
 }
 
-fn f32_to_f16_bits(value: f32) -> u16 {
-    let bits = value.to_bits();
-    let sign = ((bits >> 31) as u16) << 15;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let mant = bits & 0x7f_ffff;
+/// f16 bits -> f32 (exact), branch-free: the exponent is rebiased with an
+/// integer add; Inf/NaN take a second add to the all-ones f32 exponent,
+/// and subnormals are renormalized by one exact float subtraction.
+#[inline(always)]
+fn f16_bits_to_f32(bits: u16) -> f32 {
+    const EXP_MASK: u32 = 0x7c00 << 13;
+    let sign = u32::from(bits & 0x8000) << 16;
+    let shifted = u32::from(bits & 0x7fff) << 13;
+    let exp = shifted & EXP_MASK;
+    let rebiased = shifted + ((127 - 15) << 23);
+    let inf_nan = rebiased + ((128 - 16) << 23);
+    // as a normal with exponent -14, then minus 2^-14: mant * 2^-24 exactly
+    let sub = (f32::from_bits(rebiased + (1 << 23)) - f32::from_bits(F16_MIN_NORMAL)).to_bits();
+    let mag = if exp == EXP_MASK {
+        inf_nan
+    } else if exp == 0 {
+        sub
+    } else {
+        rebiased
+    };
+    f32::from_bits(sign | mag)
+}
 
-    if exp == 0xff {
-        // Inf / NaN
-        return sign | 0x7c00 | if mant != 0 { 0x200 } else { 0 };
-    }
-    let unbiased = exp - 127;
-    if unbiased > 15 {
-        return sign | 0x7c00; // overflow -> inf
-    }
-    if unbiased >= -14 {
-        // normal range; round-to-nearest-even on bit 13
-        let m = mant >> 13;
-        let round = (mant >> 12) & 1;
-        let sticky = mant & 0xfff;
-        let mut h = sign | (((unbiased + 15) as u16) << 10) | m as u16;
-        if round == 1 && (sticky != 0 || h & 1 == 1) {
-            h = h.wrapping_add(1); // carries correctly into exponent
-        }
-        return h;
-    }
-    if unbiased < -25 {
-        return sign; // underflow to zero
-    }
-    // subnormal
-    let shift = (-14 - unbiased) as u32;
-    let full = mant | 0x80_0000;
-    let m = full >> (13 + shift);
-    let rem = full & ((1 << (13 + shift)) - 1);
-    let halfway = 1u32 << (12 + shift);
-    let mut h = sign | m as u16;
-    if rem > halfway || (rem == halfway && h & 1 == 1) {
-        h = h.wrapping_add(1);
-    }
-    h
+/// f32 -> f16 bits, round-to-nearest-even, branch-free: normals round with
+/// an integer add, subnormals with a magic float add (the FPU's own
+/// round-to-nearest-even), and overflow / Inf / NaN are selected at the
+/// end. NaN becomes the quiet NaN `0x7e00` with the input's sign.
+#[inline(always)]
+fn f32_to_f16_bits(value: f32) -> u16 {
+    // 2^16: at or above this every f32 rounds to f16 Inf (or is NaN)
+    const OVERFLOW: u32 = (127 + 16) << 23;
+    // 0.5: adding it leaves an input below 2^-14 rounded to f16 subnormal
+    // ulps (2^-24) in the low mantissa bits
+    const DENORM_MAGIC: u32 = ((127 - 15) + (23 - 10) + 1) << 23;
+    let bits = value.to_bits();
+    let sign = (bits >> 16) & 0x8000;
+    let abs = bits & 0x7fff_ffff;
+    // normal: rebias the exponent; 0xfff plus the kept LSB carries into
+    // bit 13 exactly on round-to-nearest-even (and into the exponent on
+    // mantissa overflow, up to Inf)
+    let mant_odd = (abs >> 13) & 1;
+    let normal = abs
+        .wrapping_sub((127 - 15) << 23)
+        .wrapping_add(0xfff + mant_odd)
+        >> 13;
+    let sub = (f32::from_bits(abs) + f32::from_bits(DENORM_MAGIC))
+        .to_bits()
+        .wrapping_sub(DENORM_MAGIC);
+    let inf_nan = if abs > 0x7f80_0000 { 0x7e00 } else { 0x7c00 };
+    let mag = if abs >= OVERFLOW {
+        inf_nan
+    } else if abs < F16_MIN_NORMAL {
+        sub
+    } else {
+        normal
+    };
+    (sign | mag) as u16
 }
 
 /// Truncating (round-toward-zero) f32 -> f16, used as the "low" endpoint for
@@ -388,6 +391,219 @@ mod tests {
         quantize_bf16(&src, &mut q);
         dequantize_bf16(&q, &mut d);
         assert_eq!(d, src);
+    }
+
+    /// The original branchy scalar conversions, kept as the bit-exact
+    /// reference the branch-free kernels are checked against.
+    mod reference {
+        pub fn f16_bits_to_f32(bits: u16) -> f32 {
+            let sign = ((bits >> 15) as u32) << 31;
+            let exp = ((bits >> 10) & 0x1f) as u32;
+            let mant = (bits & 0x3ff) as u32;
+            let out = if exp == 0 {
+                if mant == 0 {
+                    sign
+                } else {
+                    let mut e = 127 - 15 + 1;
+                    let mut m = mant;
+                    while m & 0x400 == 0 {
+                        m <<= 1;
+                        e -= 1;
+                    }
+                    sign | ((e as u32) << 23) | ((m & 0x3ff) << 13)
+                }
+            } else if exp == 0x1f {
+                sign | 0x7f80_0000 | (mant << 13)
+            } else {
+                sign | ((exp + 127 - 15) << 23) | (mant << 13)
+            };
+            f32::from_bits(out)
+        }
+
+        pub fn f32_to_f16_bits(value: f32) -> u16 {
+            let bits = value.to_bits();
+            let sign = ((bits >> 31) as u16) << 15;
+            let exp = ((bits >> 23) & 0xff) as i32;
+            let mant = bits & 0x7f_ffff;
+            if exp == 0xff {
+                return sign | 0x7c00 | if mant != 0 { 0x200 } else { 0 };
+            }
+            let unbiased = exp - 127;
+            if unbiased > 15 {
+                return sign | 0x7c00;
+            }
+            if unbiased >= -14 {
+                let m = mant >> 13;
+                let round = (mant >> 12) & 1;
+                let sticky = mant & 0xfff;
+                let mut h = sign | (((unbiased + 15) as u16) << 10) | m as u16;
+                if round == 1 && (sticky != 0 || h & 1 == 1) {
+                    h = h.wrapping_add(1);
+                }
+                return h;
+            }
+            if unbiased < -25 {
+                return sign;
+            }
+            let shift = (-14 - unbiased) as u32;
+            let full = mant | 0x80_0000;
+            let m = full >> (13 + shift);
+            let rem = full & ((1 << (13 + shift)) - 1);
+            let halfway = 1u32 << (12 + shift);
+            let mut h = sign | m as u16;
+            if rem > halfway || (rem == halfway && h & 1 == 1) {
+                h = h.wrapping_add(1);
+            }
+            h
+        }
+
+        pub fn bf16_bits(value: f32) -> u16 {
+            let bits = value.to_bits();
+            let round_bit = (bits >> 15) & 1;
+            let sticky = bits & 0x7fff;
+            let mut hi = (bits >> 16) as u16;
+            if round_bit == 1 && (sticky != 0x0000 || hi & 1 == 1) && !value.is_nan() {
+                hi = hi.wrapping_add(1);
+            }
+            if value.is_nan() {
+                hi = ((bits >> 16) as u16) | 0x0040;
+            }
+            hi
+        }
+    }
+
+    /// Asserts the branch-free f32 -> 16-bit conversions match the
+    /// reference on the f32 bit pattern `bits`.
+    fn check_f32_bits(bits: u32) {
+        let v = f32::from_bits(bits);
+        assert_eq!(
+            f32_to_f16_bits(v),
+            reference::f32_to_f16_bits(v),
+            "f16 of {bits:#010x}"
+        );
+        assert_eq!(
+            bf16_bits(v),
+            reference::bf16_bits(v),
+            "bf16 of {bits:#010x}"
+        );
+    }
+
+    /// Boundary classes of the f32 -> f16 conversion, both signs.
+    fn boundary_bits() -> Vec<u32> {
+        let mut out: Vec<u32> = vec![
+            0x0000_0000, // +0
+            0x0000_0001, // smallest f32 subnormal
+            0x007f_ffff, // largest f32 subnormal
+            0x3300_0000, // 2^-25: the tie between 0 and the smallest f16 subnormal
+            0x3880_0000, // 2^-14: smallest f16 normal
+            0x477f_e000, // 65504: largest finite f16
+            0x477f_f000, // 65520: ties up to Inf
+            0x4780_0000, // 65536
+            0x7f7f_ffff, // largest finite f32
+            0x7f80_0000, // Inf
+            0x7fc0_0000, // quiet NaN
+            0x7f80_0001, // signalling NaN, lowest payload
+            0x7fa0_0000, // signalling NaN, high payload
+            0x7fff_ffff, // quiet NaN, full payload
+        ];
+        // neighbours of every exact boundary above
+        for b in out.clone() {
+            for d in 1..=4 {
+                out.push(b.wrapping_add(d) & 0x7fff_ffff);
+                out.push(b.wrapping_sub(d) & 0x7fff_ffff);
+            }
+        }
+        // every exponent that yields an f16 subnormal or rounds to zero,
+        // with mantissas at the tie, around it and at the extremes
+        for exp in 100u32..=113 {
+            for mant in [
+                0, 1, 0xfff, 0x1000, 0x1001, 0x1fff, 0x2000, 0x40_0000, 0x40_0001, 0x7f_ffff,
+            ] {
+                out.push((exp << 23) | mant);
+            }
+            for mant in (0..0x80_0000u32).step_by(4093) {
+                out.push((exp << 23) | mant);
+            }
+        }
+        let negatives: Vec<u32> = out.iter().map(|b| b | 0x8000_0000).collect();
+        out.extend(negatives);
+        out
+    }
+
+    #[test]
+    fn conversions_match_reference_on_boundary_classes() {
+        for bits in boundary_bits() {
+            check_f32_bits(bits);
+        }
+    }
+
+    #[test]
+    fn conversions_match_reference_on_a_strided_sweep() {
+        // a prime stride walks every exponent and mantissa region
+        for bits in (0..=u32::MAX).step_by(257) {
+            check_f32_bits(bits);
+        }
+    }
+
+    #[test]
+    fn every_half_converts_exactly() {
+        for h in 0..=u16::MAX {
+            assert_eq!(
+                f16_bits_to_f32(h).to_bits(),
+                reference::f16_bits_to_f32(h).to_bits(),
+                "f16 {h:#06x}"
+            );
+        }
+    }
+
+    #[test]
+    fn slice_kernels_match_the_scalar_conversions() {
+        // lengths straddle common SIMD widths so vector body and tail both run
+        for len in [0, 1, 7, 8, 9, 15, 16, 17, 83] {
+            let src: Vec<f32> = boundary_bits()
+                .into_iter()
+                .cycle()
+                .step_by(7)
+                .take(len)
+                .map(f32::from_bits)
+                .collect();
+            let mut q = vec![1u16; 3];
+            quantize_f16(&src, &mut q);
+            let want: Vec<u16> = src.iter().map(|&v| reference::f32_to_f16_bits(v)).collect();
+            assert_eq!(q, want);
+            let mut d = vec![1.0f32; 2];
+            dequantize_f16(&q, &mut d);
+            let back: Vec<u32> = q
+                .iter()
+                .map(|&h| reference::f16_bits_to_f32(h).to_bits())
+                .collect();
+            assert_eq!(d.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), back);
+            quantize_bf16(&src, &mut q);
+            let want: Vec<u16> = src.iter().map(|&v| reference::bf16_bits(v)).collect();
+            assert_eq!(q, want);
+            dequantize_bf16(&q, &mut d);
+            assert_eq!(d.len(), len);
+        }
+    }
+
+    /// Every f32 bit pattern through both branch-free f32 -> 16-bit
+    /// conversions. Run with `cargo test --release -p neo-tensor --lib --
+    /// --ignored`.
+    #[test]
+    #[ignore = "exhaustive 2^32 sweep; run in release with --ignored"]
+    fn conversions_match_reference_on_every_f32() {
+        let threads = std::thread::available_parallelism().map_or(2, |n| n.get()) as u64;
+        let span = (1u64 << 32).div_ceil(threads);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                s.spawn(move || {
+                    let end = ((t + 1) * span).min(1 << 32);
+                    for bits in t * span..end {
+                        check_f32_bits(bits as u32);
+                    }
+                });
+            }
+        });
     }
 
     #[test]
