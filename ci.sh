@@ -12,8 +12,9 @@
 #                         so new findings fail even when hidden behind
 #                         waivers; the lint run itself must finish in <10s)
 #   4. tier-1 tests      (root-package build + tests, the ROADMAP gate)
-#   5. workspace tests   (all crates, plus the exhaustive 2^32 f32 sweep of
-#                         the FP16/BF16 wire conversions in release)
+#   5. workspace tests   (all crates, the trainbench smoke test with its
+#                         lockfile unchanged, plus the exhaustive 2^32 f32
+#                         sweep of the FP16/BF16 wire conversions in release)
 #   6. sanitizer tests   (numeric sanitizer + lock-order runtime validator
 #                         armed via --features sanitize)
 #   7. telemetry check   (quickstart --telemetry artifacts parse, carry the
@@ -66,6 +67,10 @@ cargo test -q
 
 echo "==> [5/11] cargo test -q --workspace"
 cargo test -q --workspace
+# the standalone benchmark crate's smoke test; its lockfile must not move,
+# so a workspace change can never silently rewrite the benchmark's deps
+cargo test -q --manifest-path trainbench/Cargo.toml
+git diff --exit-code trainbench/Cargo.lock
 # every f32 bit pattern through the branch-free FP16/BF16 conversions,
 # bit-compared against the reference scalar code (about 20-35 s)
 cargo test -q --release -p neo-tensor --lib -- --ignored

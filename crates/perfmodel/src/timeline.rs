@@ -191,11 +191,9 @@ pub fn fig9_graph(bd: &IterationBreakdown, pipelined: bool) -> Vec<Op> {
 /// Dependency structure of the phases the live trainer actually emits,
 /// as `(name, resource, deps)` — the Fig. 9 graph extended with the
 /// row-wise sharding collectives (reduce-scatter / all-gather), the
-/// dense AllReduce spans (the serial trainer's combined `allreduce`
-/// plus the overlapped trainer's posted top/bottom halves), and the
-/// dense optimizer.
+/// dense AllReduce halves, and the dense optimizer.
 ///
-/// Collectives the overlapped trainer posts nonblocking — the input
+/// Collectives the overlap wait policy posts nonblocking — the input
 /// AlltoAll, the pooled-output AlltoAll and the two AllReduce halves —
 /// sit on [`Resource::CommLane`]; blocking collectives stay on
 /// [`Resource::Network`]. Simulating this template therefore yields the
@@ -208,14 +206,17 @@ pub fn fig9_graph(bd: &IterationBreakdown, pipelined: bool) -> Vec<Op> {
 /// index exchange was posted during the previous iteration and has long
 /// landed), and the `input_a2a` op here is the *next* batch's exchange,
 /// posted right after the pooled features are assembled so it rides the
-/// comm lane under the interaction, top MLP and backward. The combined
-/// `allreduce` is the post-backward blocking loss mean; the gradient
-/// AllReduce appears as its posted top/bottom halves.
+/// comm lane under the interaction, top MLP and backward. The gradient
+/// AllReduce appears as its top/bottom halves, the top one also carrying
+/// the loss mean. The trailing combined `allreduce` is no longer recorded
+/// by the trainer; it stays so older artifacts that carry it (e.g.
+/// `results/bench_baseline.json`, from serial runs with one combined
+/// gradient AllReduce and a separate loss AllReduce) keep joining.
 ///
 /// [`measured_graph`] instantiates this template with measured durations;
 /// the names are exactly the ones `trainer::sync` records, so a measured
 /// span summary joins by name with no translation table. Phases a given
-/// run never recorded (e.g. the AllReduce halves in a serial run) join as
+/// run never recorded (e.g. `allreduce` in a current run) join as
 /// zero-duration ops and drop out of every total.
 pub const MEASURED_TEMPLATE: &[(&str, Resource, &[&str])] = &[
     (phase::HTOD, Resource::Memory, &[]),

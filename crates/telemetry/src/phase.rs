@@ -39,13 +39,18 @@ pub const BWD_BOTTOM_MLP: &str = "bwd_bottom_mlp";
 pub const SPARSE_OPTIM: &str = "sparse_optim";
 /// Dense (MLP) optimizer apply.
 pub const DENSE_OPTIM: &str = "dense_optim";
-/// AllReduce of dense gradients (combined span, serial schedule).
+/// Combined dense-gradient AllReduce. The trainer no longer records it
+/// (it issues the two halves below under both wait policies); the name
+/// stays for older artifacts that carry it and for reports that fold
+/// the halves into one column.
 pub const ALLREDUCE: &str = "allreduce";
-/// AllReduce of the top-MLP gradient half (overlapped-schedule split,
-/// posted as soon as the top-MLP backward finishes).
+/// AllReduce of the top-MLP gradient half plus the iteration's loss,
+/// issued as soon as the top-MLP backward finishes (lane 0 when blocking,
+/// the comm lane when posted).
 pub const ALLREDUCE_TOP: &str = "allreduce_top";
-/// AllReduce of the bottom-MLP gradient half (overlapped-schedule split,
-/// posted as soon as the bottom-MLP backward finishes).
+/// AllReduce of the bottom-MLP gradient half, issued as soon as the
+/// bottom-MLP backward finishes (lane 0 when blocking, the comm lane
+/// when posted).
 pub const ALLREDUCE_BOT: &str = "allreduce_bot";
 
 /// Every phase name, in rough execution order.

@@ -1275,8 +1275,9 @@ mod tests {
         fs::remove_dir_all(&base).unwrap();
     }
 
-    /// `bench --diff` over the two committed reports names a dominant
-    /// phase delta without running the suite.
+    /// `bench --diff` names a dominant phase delta without running the
+    /// suite: the committed baseline against a copy of it with one phase
+    /// of one entry scaled up.
     #[test]
     fn bench_diff_attributes_committed_reports() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -1284,7 +1285,25 @@ mod tests {
             .nth(2)
             .unwrap();
         let a = root.join("results/bench_baseline.json");
-        let b = root.join("results/BENCH_ci.json");
+        let load = |p: &Path| {
+            neo_prof::BenchReport::parse(&fs::read_to_string(p).unwrap()).expect("committed report")
+        };
+        let base = load(&a);
+        let mut scaled = base.clone();
+        let (scaled_entry, scaled_phase) = {
+            let e = &mut scaled.entries[0];
+            let (name, ms) = e
+                .phase_ms
+                .iter_mut()
+                .find(|(n, _)| n == neo_telemetry::phase::ALLTOALL_FWD)
+                .expect("baseline records alltoall_fwd");
+            *ms *= 3.0;
+            (e.name.clone(), name.clone())
+        };
+        let dir = std::env::temp_dir().join(format!("neo-xtask-diff-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let b = dir.join("BENCH_scaled.json");
+        fs::write(&b, scaled.to_json()).unwrap();
         assert_eq!(
             run_bench(&[
                 "--diff".into(),
@@ -1296,12 +1315,10 @@ mod tests {
             "diff mode is informational"
         );
         // the attribution itself: at least one shared entry must name the
-        // phase whose cost moved the most between the committed reports
-        let load = |p: &Path| {
-            neo_prof::BenchReport::parse(&fs::read_to_string(p).unwrap()).expect("committed report")
-        };
-        let d = neo_prof::diff_reports(&load(&a), &load(&b));
-        assert!(!d.entries.is_empty(), "committed reports share entries");
+        // phase whose cost moved the most between the reports
+        let d = neo_prof::diff_reports(&base, &load(&b));
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(!d.entries.is_empty(), "reports share entries");
         let named: Vec<_> = d
             .entries
             .iter()
@@ -1309,6 +1326,12 @@ mod tests {
             .collect();
         assert!(!named.is_empty(), "no dominant phase named: {d:?}");
         assert!(format!("{d}").contains("dominant phase delta"));
+        let e = d.entries.iter().find(|e| e.name == scaled_entry).unwrap();
+        assert_eq!(
+            e.dominant_phase.as_ref().map(|(p, _)| p),
+            Some(&scaled_phase),
+            "the scaled phase is the dominant one"
+        );
     }
 
     /// `bench --quick` writes a schema-valid report, passes against an
