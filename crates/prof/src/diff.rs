@@ -12,6 +12,8 @@
 
 use std::fmt;
 
+use neo_telemetry::phase;
+
 use crate::benchfile::BenchReport;
 
 /// Throughput and per-phase deltas for one entry present in both reports.
@@ -56,11 +58,38 @@ pub struct BenchDiff {
 /// the change; percentage columns (`*_overhead_pct`) are not milliseconds
 /// at all.
 fn is_attributable(name: &str) -> bool {
-    !neo_telemetry::phase::AGGREGATE.contains(&name) && !name.ends_with("_pct")
+    !phase::AGGREGATE.contains(&name) && !name.ends_with("_pct")
+}
+
+/// The column a recorded phase is compared under: the trainer records the
+/// dense-gradient AllReduce as two halves, which older reports carry as
+/// one `allreduce` column.
+fn reported_as(name: &str) -> &str {
+    match name {
+        phase::ALLREDUCE_TOP | phase::ALLREDUCE_BOT => phase::ALLREDUCE,
+        other => other,
+    }
+}
+
+/// `phase_ms` with every column renamed by [`reported_as`] and columns
+/// that land on the same name summed, in first-occurrence order.
+fn folded(phase_ms: &[(String, f64)]) -> Vec<(String, f64)> {
+    let mut out: Vec<(String, f64)> = Vec::with_capacity(phase_ms.len());
+    for (name, ms) in phase_ms {
+        let name = reported_as(name);
+        match out.iter_mut().find(|(n, _)| n == name) {
+            Some((_, sum)) => *sum += ms,
+            None => out.push((name.to_owned(), *ms)),
+        }
+    }
+    out
 }
 
 /// Joins two reports entry-by-entry (on `name`) and attributes each
 /// throughput delta to the phase whose per-iteration cost moved the most.
+/// The AllReduce halves are summed into `allreduce` on both sides first,
+/// so a report that records them is compared like for like with one that
+/// carries the combined column.
 pub fn diff_reports(base: &BenchReport, cur: &BenchReport) -> BenchDiff {
     let mut entries = Vec::new();
     let mut only_in_base = Vec::new();
@@ -69,20 +98,19 @@ pub fn diff_reports(base: &BenchReport, cur: &BenchReport) -> BenchDiff {
             only_in_base.push(b.name.clone());
             continue;
         };
+        let (b_phases, c_phases) = (folded(&b.phase_ms), folded(&c.phase_ms));
         // union of phase columns: baseline order, then current-only
-        let mut phases: Vec<(String, f64, f64)> = b
-            .phase_ms
+        let mut phases: Vec<(String, f64, f64)> = b_phases
             .iter()
             .map(|(name, ms)| {
-                let cur_ms = c
-                    .phase_ms
+                let cur_ms = c_phases
                     .iter()
                     .find(|(n, _)| n == name)
                     .map_or(0.0, |(_, v)| *v);
                 (name.clone(), *ms, cur_ms)
             })
             .collect();
-        for (name, ms) in &c.phase_ms {
+        for (name, ms) in &c_phases {
             if !phases.iter().any(|(n, _, _)| n == name) {
                 phases.push((name.clone(), 0.0, *ms));
             }
@@ -322,6 +350,44 @@ mod tests {
         assert_eq!(phase, "alltoall_fwd");
         let text = format!("{d}");
         assert!(!text.contains("monitor_overhead_pct +"), "{text}");
+    }
+
+    #[test]
+    fn allreduce_halves_are_compared_with_the_combined_column() {
+        // an older baseline carries one `allreduce` column; the current
+        // trainer records the two halves, which together cost the same
+        let base = report(
+            "baseline",
+            vec![entry(
+                "quickstart_w8",
+                100_000.0,
+                &[("allreduce", 2.0), ("emb_lookup", 0.5)],
+            )],
+        );
+        let cur = report(
+            "ci",
+            vec![entry(
+                "quickstart_w8",
+                95_000.0,
+                &[
+                    ("allreduce_top", 1.0),
+                    ("emb_lookup", 1.0),
+                    ("allreduce_bot", 1.0),
+                ],
+            )],
+        );
+        let d = diff_reports(&base, &cur);
+        let e = &d.entries[0];
+        assert_eq!(
+            e.phases,
+            vec![
+                ("allreduce".to_string(), 2.0, 2.0),
+                ("emb_lookup".to_string(), 0.5, 1.0),
+            ]
+        );
+        assert_eq!(e.dominant_phase, Some(("emb_lookup".to_string(), 0.5)));
+        let text = format!("{d}");
+        assert!(text.contains("dominant phase delta: emb_lookup"), "{text}");
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   top layer `64x52x16` (batch 64 is the w4 sub-batch of the pinned
 //!   global batch 256; 52 is `top_input_dim` for 8 tables at dim 16),
 //!   plus the backward weight-gradient (`AᵀB`) and input-gradient
-//!   (`ABᵀ`) transposes of the top layer. Throughput is A-rows/sec.
+//!   (`ABᵀ`) transposes of the top layer. The `micro_gemm_*_wide` cases
+//!   run the same three products at the `dense_overlap` benchmark's top
+//!   layer `256x256x128` (batch 256 per rank, 256 -> 128), where the
+//!   kernels' register tiles fill completely. Throughput is A-rows/sec.
 //! * `micro_pooled_{fwd,bwd}` — sum-pooled embedding lookup forward and
 //!   backward over a 20k-row / dim-16 table at a Zipf-skewed batch shape
 //!   (power-law row ids: a hot head and a long tail, the access pattern
@@ -192,6 +195,32 @@ pub fn run_micro_suite(label: &str, quick: bool) -> Result<BenchReport, String> 
         40 * scale,
     )?);
 
+    // the same three products at the dense_overlap top-MLP layer 256 -> 128
+    // (batch 256 per rank), where a register tile fills completely
+    report.entries.push(gemm_case(
+        "micro_gemm_fwd_wide",
+        gemm::matmul,
+        (256, 256),
+        (256, 128),
+        2 * scale,
+    )?);
+    // weight grad: Xᵀ(256x256) · G(256x128) -> 256x128
+    report.entries.push(gemm_case(
+        "micro_gemm_wgrad_wide",
+        gemm::matmul_at_b,
+        (256, 256),
+        (256, 128),
+        2 * scale,
+    )?);
+    // input grad: G(256x128) · W(256x128)ᵀ -> 256x256
+    report.entries.push(gemm_case(
+        "micro_gemm_dgrad_wide",
+        gemm::matmul_a_bt,
+        (256, 128),
+        (256, 128),
+        2 * scale,
+    )?);
+
     // pooled lookup at a Zipf batch shape (20k-row dim-16 table, the
     // quickstart table size; 256 bags of pooling 4)
     const ROWS: u64 = 20_000;
@@ -245,7 +274,7 @@ mod tests {
     fn quick_micro_suite_produces_a_schema_valid_report() {
         let report = run_micro_suite("test", true).expect("micro suite");
         assert_eq!(report.schema_version, BENCH_SCHEMA_VERSION);
-        assert_eq!(report.entries.len(), 9, "{report:?}");
+        assert_eq!(report.entries.len(), 12, "{report:?}");
         let round = BenchReport::parse(&report.to_json()).expect("round trip");
         assert_eq!(round, report);
         for e in &report.entries {

@@ -126,6 +126,14 @@ impl Linear {
     /// Returns [`ShapeError`] if `forward` was not called first or `dy` has
     /// the wrong shape.
     pub fn backward(&mut self, dy: &Tensor2) -> crate::Result<Tensor2> {
+        let dz = self.backward_params(dy)?;
+        gemm::matmul_a_bt(&dz, &self.w)
+    }
+
+    /// The parameter half of [`Linear::backward`]: consumes the cached
+    /// activations, accumulates `dw`/`db` and returns the pre-activation
+    /// gradient `dz`, without forming the input gradient `dz * W^T`.
+    fn backward_params(&mut self, dy: &Tensor2) -> crate::Result<Tensor2> {
         let x = self
             .cached_input
             .take()
@@ -143,7 +151,7 @@ impl Linear {
             *d *= self.act.grad_from_output(out);
         }
         crate::sanitize::check_finite("mlp pre-activation gradient", dz.as_slice());
-        // dW += X^T dz ; db += column sums of dz ; dX = dz W^T
+        // dW += X^T dz ; db += column sums of dz
         let dw = gemm::matmul_at_b(&x, &dz)?;
         self.dw += &dw;
         for i in 0..dz.rows() {
@@ -151,7 +159,7 @@ impl Linear {
                 *acc += g;
             }
         }
-        gemm::matmul_a_bt(&dz, &self.w)
+        Ok(dz)
     }
 
     /// Applies an SGD step `w -= lr * dw` and clears the gradients.
@@ -303,6 +311,27 @@ impl Mlp {
             g = layer.backward(&g)?;
         }
         Ok(g)
+    }
+
+    /// Backward pass that accumulates every layer's `dW`/`db` exactly as
+    /// [`Mlp::backward`] does but stops there: the gradient with respect to
+    /// the MLP's input (the first layer's `dz * W^T`) is never formed. For
+    /// an MLP fed by data rather than by another layer, such as the DLRM
+    /// bottom MLP, that gradient has no consumer.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if `forward` was not called first.
+    pub fn backward_params(&mut self, dy: &Tensor2) -> crate::Result<()> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
+        let mut g = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(dy))?);
+        }
+        first.backward_params(g.as_ref().unwrap_or(dy))?;
+        Ok(())
     }
 
     /// SGD step on every layer; clears gradients.
@@ -537,6 +566,27 @@ mod tests {
         }
         let after = loss(&mlp);
         assert!(after < before * 0.2, "loss {before} -> {after}");
+    }
+
+    #[test]
+    fn backward_params_accumulates_the_same_gradients_as_backward() {
+        let cfg = MlpConfig::new(5, &[7, 6, 3], Activation::Relu);
+        let mut full = Mlp::new(&cfg, &mut rng());
+        let mut params_only = full.clone();
+        let x = Tensor2::from_fn(9, 5, |i, j| ((i * 5 + j) % 7) as f32 * 0.3 - 0.9);
+        for step in 0..2 {
+            let dy = Tensor2::from_fn(9, 3, |i, j| (i as f32 - j as f32) * 0.1 + step as f32);
+            full.forward(&x);
+            full.backward(&dy).unwrap();
+            params_only.forward(&x);
+            params_only.backward_params(&dy).unwrap();
+        }
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        full.grads_flat(&mut a);
+        params_only.grads_flat(&mut b);
+        let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b));
+        assert!(params_only.backward_params(&Tensor2::zeros(9, 3)).is_err());
     }
 
     #[test]
